@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,11 +117,17 @@ func TestLateMessageOnExpiredSession(t *testing.T) {
 // Shutdown (leakcheck).
 func TestServerExpiryReaper(t *testing.T) {
 	leakcheck.At(t)
-	var d *deploy.Deployment
-	d = newDeadlineDeploy(t, 30*time.Millisecond,
+	// The reaper can tick before newDeadlineDeploy returns, so it reads
+	// the deployment through an atomic and skips ticks until it is set.
+	var dp atomic.Pointer[deploy.Deployment]
+	d := newDeadlineDeploy(t, 30*time.Millisecond,
 		core.ServerExpiry(clock.Real(), 10*time.Millisecond, func(now time.Time) int {
-			return d.Provider.ExpireStale(now)
+			if d := dp.Load(); d != nil {
+				return d.Provider.ExpireStale(now)
+			}
+			return 0
 		}))
+	dp.Store(d)
 	conn := mustDial(t, d)
 
 	d.Provider.SetMisbehavior(core.Misbehavior{SilentAfterNRO: true})

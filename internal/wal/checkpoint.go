@@ -173,7 +173,7 @@ func (w *WAL) Checkpoint(state []byte) (uint64, error) {
 	}
 	prev := w.ckpt
 	w.ckpt = ck
-	w.tailRecords = 0
+	w.tail = nil
 	walCheckpoints.Inc()
 	w.pruneCheckpoints(ck, prev)
 	if err := w.truncateCoveredLocked(ck.TailSeg); err != nil {
@@ -334,14 +334,14 @@ func (w *WAL) LSN() uint64 {
 	return w.lsn
 }
 
-// TailRecords reports how many intact records Open found in segments
-// the current snapshot does not cover — the replay work a recovery
-// pays after restoring the snapshot. Without a snapshot it equals
+// TailRecords reports how many intact records sit in segments the
+// current snapshot does not cover — the replay work a recovery pays
+// after restoring the snapshot. Without a snapshot it equals
 // Records().
 func (w *WAL) TailRecords() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tailRecords
+	return len(w.tail)
 }
 
 // ReplayTail is Replay restricted to records the current snapshot does

@@ -21,6 +21,14 @@
 // anywhere BEFORE the tail is not survivable and surfaces as
 // ErrCorrupt: silently skipping interior records could un-bind a party
 // that was already acked.
+//
+// The journal keeps an in-memory position index of its live tail — one
+// (segment, offset, length) entry, about 24 B, per record the current
+// checkpoint does not cover. Open fills it from its scan, every append
+// adds to it, and Checkpoint and InstallSnapshot reset it. The
+// replication read (ReadBatchFromLSN) is an indexed read of just the
+// records it returns, each one's length and CRC-32 checked again, so
+// its cost does not grow with the length of the tail.
 package wal
 
 import (
@@ -44,8 +52,10 @@ var fpAppendENOSPC = faultpoint.Register("wal.append.enospc")
 
 // Errors.
 var (
-	// ErrCorrupt reports a damaged record before the journal tail —
-	// unlike a torn tail, interior corruption cannot be safely dropped.
+	// ErrCorrupt reports a damaged record the journal cannot drop: one
+	// before the tail of the last segment at Open or Replay, or any
+	// record a replication read is about to ship. Unlike a torn tail,
+	// such corruption cannot be safely skipped.
 	ErrCorrupt = errors.New("wal: corrupt record before journal tail")
 	// ErrClosed is returned from operations on a closed journal.
 	ErrClosed = errors.New("wal: journal closed")
@@ -146,13 +156,14 @@ type WAL struct {
 
 	// Checkpoint/compaction state. lsn numbers records since genesis —
 	// unlike records, it survives compaction, so a snapshot can say
-	// exactly which prefix of history it covers. tailRecords counts
-	// records the current snapshot does NOT cover; segBytes mirrors the
-	// size of each live segment for the process gauges.
-	lsn         uint64
-	tailRecords int
-	ckpt        *Checkpoint
-	segBytes    map[int]int64
+	// exactly which prefix of history it covers. tail indexes the
+	// records the current snapshot does NOT cover: tail[i] locates the
+	// record with LSN lsn-len(tail)+1+i. segBytes mirrors the size of
+	// each live segment for the process gauges.
+	lsn      uint64
+	tail     []recPos
+	ckpt     *Checkpoint
+	segBytes map[int]int64
 
 	// Group-commit state (SyncGroup only), guarded by mu. Appends are
 	// numbered; the leader fsyncs with mu RELEASED so followers keep
@@ -170,6 +181,14 @@ type WAL struct {
 	// (Replay) still work; Healthy surfaces the state so the provider
 	// can degrade instead of dying.
 	ioErr error
+}
+
+// recPos locates one live-tail record on disk: its header starts at
+// off in segment seg and its payload is length bytes long.
+type recPos struct {
+	seg    int
+	off    int64
+	length int
 }
 
 // cond returns the group-commit condition variable, creating it on
@@ -233,18 +252,20 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	for i, idx := range segs {
 		last := i == len(segs)-1
-		n, end, err := scanSegment(w.segPath(idx), last)
+		b, err := os.ReadFile(w.segPath(idx))
+		if err != nil {
+			return nil, fmt.Errorf("wal: reading segment: %w", err)
+		}
+		end, err := scanSegment(filepath.Base(w.segPath(idx)), b, last, func(off int64, length int) error {
+			w.tail = append(w.tail, recPos{seg: idx, off: off, length: length})
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		w.records += n
 		w.segBytes[idx] = end
 		if last {
-			fi, err := os.Stat(w.segPath(idx))
-			if err != nil {
-				return nil, fmt.Errorf("wal: stat segment: %w", err)
-			}
-			if end < fi.Size() {
+			if end < int64(len(b)) {
 				if err := os.Truncate(w.segPath(idx), end); err != nil {
 					return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 				}
@@ -264,7 +285,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	// After truncation every surviving record is snapshot tail; the LSN
 	// of the last record is the snapshot LSN plus the tail length.
-	w.tailRecords = w.records
+	w.records = len(w.tail)
 	w.lsn += uint64(w.records)
 	walRecovered.Add(int64(w.records))
 	trackInstance(w)
@@ -317,23 +338,20 @@ func (w *WAL) newSegment(idx int) error {
 	return nil
 }
 
-// scanSegment validates one segment, returning its intact record count
-// and the byte offset just past the last intact record. In the last
-// segment a damaged tail is reported via end < file size; anywhere else
-// it is ErrCorrupt. A last segment whose header itself is torn scans as
-// zero records ending at offset 0, so Open truncates it to empty and
-// rewrites nothing (the next append recreates the header path via the
-// existing file — handled by treating end 0 as "rewrite header").
-func scanSegment(path string, last bool) (n int, end int64, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: reading segment: %w", err)
-	}
+// scanSegment validates one segment's bytes b (name is for errors),
+// calling fn with the header offset and payload length of each intact
+// record in order, and returns the byte offset just past the last
+// intact record; a non-nil fn error stops the scan and is returned. In
+// the last segment a damaged tail is reported via end < len(b);
+// anywhere else it is ErrCorrupt. A last segment whose header itself
+// is torn scans as zero records ending at offset 0, so Open truncates
+// it to empty and the next append rewrites the header.
+func scanSegment(name string, b []byte, last bool, fn func(off int64, length int) error) (end int64, err error) {
 	if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
 		if last && len(b) < len(segMagic) {
-			return 0, 0, nil // torn during creation; truncated + rebuilt by Open
+			return 0, nil // torn during creation; truncated + rebuilt by Open
 		}
-		return 0, 0, fmt.Errorf("%w: %s: bad segment header", ErrCorrupt, filepath.Base(path))
+		return 0, fmt.Errorf("%w: %s: bad segment header", ErrCorrupt, name)
 	}
 	off := int64(len(segMagic))
 	for int64(len(b))-off >= recHeaderLen {
@@ -341,33 +359,35 @@ func scanSegment(path string, last bool) (n int, end int64, err error) {
 		crc := binary.BigEndian.Uint32(b[off+4:])
 		if length > MaxRecordSize {
 			if last {
-				return n, off, nil // garbage length: torn tail
+				return off, nil // garbage length: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorrupt, filepath.Base(path), length, off)
+			return 0, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorrupt, name, length, off)
 		}
 		body := off + recHeaderLen
 		if body+int64(length) > int64(len(b)) {
 			if last {
-				return n, off, nil // short payload: torn tail
+				return off, nil // short payload: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: short record at offset %d", ErrCorrupt, filepath.Base(path), off)
+			return 0, fmt.Errorf("%w: %s: short record at offset %d", ErrCorrupt, name, off)
 		}
 		if crc32.ChecksumIEEE(b[body:body+int64(length)]) != crc {
 			if last {
-				return n, off, nil // checksum mismatch: torn tail
+				return off, nil // checksum mismatch: torn tail
 			}
-			return 0, 0, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, filepath.Base(path), off)
+			return 0, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, name, off)
+		}
+		if err := fn(off, int(length)); err != nil {
+			return 0, err
 		}
 		off = body + int64(length)
-		n++
 	}
 	if off < int64(len(b)) {
 		if last {
-			return n, off, nil // trailing partial header: torn tail
+			return off, nil // trailing partial header: torn tail
 		}
-		return 0, 0, fmt.Errorf("%w: %s: trailing bytes at offset %d", ErrCorrupt, filepath.Base(path), off)
+		return 0, fmt.Errorf("%w: %s: trailing bytes at offset %d", ErrCorrupt, name, off)
 	}
-	return n, off, nil
+	return off, nil
 }
 
 // recBufPool recycles record-framing buffers: header + payload are
@@ -448,12 +468,12 @@ func (w *WAL) AppendLSN(payload []byte) (uint64, error) {
 		w.setErrLocked(err)
 		return 0, err
 	}
+	w.tail = append(w.tail, recPos{seg: w.segIndex, off: w.segSize, length: len(payload)})
 	w.segSize += int64(len(buf))
 	w.segBytes[w.segIndex] = w.segSize
 	w.records++
 	w.lsn++
 	lsn := w.lsn
-	w.tailRecords++
 	w.sinceSync++
 	w.appendSeq++
 	walAppends.Inc()
@@ -561,30 +581,21 @@ func (w *WAL) groupCommit(id uint64) error {
 // from disk with fresh handles, so it sees exactly what a restarted
 // process would.
 func (w *WAL) Replay(fn func(rec []byte) error) error {
-	return w.replayFrom(0, fn)
-}
-
-// replayFrom is Replay restricted to segments >= minSeg — the
-// snapshot-tail read path (ReplayTail) shares everything but the lower
-// bound with a full replay.
-func (w *WAL) replayFrom(minSeg int, fn func(rec []byte) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.replayLocked(minSeg, fn)
+	return w.replayLocked(0, fn)
 }
 
-// replayLocked is replayFrom with w.mu already held — the LSN-ranged
-// read path must pin the checkpoint boundary and walk the segments
-// under ONE lock acquisition, or a concurrent Checkpoint could move
-// the boundary between the two and shift every counted LSN.
+// replayLocked is Replay restricted to segments >= minSeg — the
+// snapshot-tail read path (ReplayTail) shares everything but the lower
+// bound with a full replay. Each segment is read once and its records
+// are handed to fn straight from that read. Callers hold w.mu.
 func (w *WAL) replayLocked(minSeg int, fn func(rec []byte) error) error {
 	if w.closed {
 		return ErrClosed
 	}
-	// Flush buffered appends so the read-back below sees them.
-	if w.f != nil && w.opt.Policy != SyncNever {
-		w.waitFlush()
-		w.f.Sync()
+	if _, err := w.durableLocked(); err != nil {
+		return err
 	}
 	segs, err := w.segments()
 	if err != nil {
@@ -594,29 +605,44 @@ func (w *WAL) replayLocked(minSeg int, fn func(rec []byte) error) error {
 		if idx < minSeg {
 			continue
 		}
-		last := i == len(segs)-1
 		b, err := os.ReadFile(w.segPath(idx))
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		_, end, err := scanSegment(w.segPath(idx), last)
-		if err != nil {
-			return err
-		}
-		off := int64(len(segMagic))
-		if end < off {
-			continue // empty torn segment
-		}
-		for off < end {
-			length := int64(binary.BigEndian.Uint32(b[off:]))
+		if _, err := scanSegment(filepath.Base(w.segPath(idx)), b, i == len(segs)-1, func(off int64, length int) error {
 			body := off + recHeaderLen
-			if err := fn(b[body : body+length : body+length]); err != nil {
-				return err
-			}
-			off = body + length
+			return fn(b[body : body+int64(length) : body+int64(length)])
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// durableLocked is the ship-only-durable step every read takes before
+// it hands records out: it waits out an in-flight group flush, fsyncs
+// when records were written since the last fsync, and returns the
+// highest LSN known durable. Under SyncAlways, and right after a group
+// commit, nothing is pending and it issues no syscall. A poisoned
+// journal is not fsynced again — a second fsync after a failed one
+// proves nothing — so its unsynced suffix stays past the returned LSN.
+// SyncNever promises nothing and returns the last LSN as it is.
+// Callers hold w.mu; the lock may be released while waiting, so state
+// read before the call must be read again after it.
+func (w *WAL) durableLocked() (uint64, error) {
+	if w.opt.Policy == SyncNever {
+		return w.lsn, nil
+	}
+	w.waitFlush()
+	if w.closed {
+		return 0, ErrClosed
+	}
+	if w.appendSeq > w.syncedSeq && w.ioErr == nil && w.syncErr == nil {
+		if err := w.fsyncLocked(); err != nil {
+			return 0, fmt.Errorf("wal: fsync before read: %w", err)
+		}
+	}
+	return w.lsn - (w.appendSeq - w.syncedSeq), nil
 }
 
 // waitFlush blocks until no group leader fsync is in flight. Called
